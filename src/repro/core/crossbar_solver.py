@@ -373,10 +373,10 @@ class CrossbarPDIPSolver:
                 )
 
         eps_primal = settings.eps_primal * (
-            1.0 + float(np.max(np.abs(problem.b), initial=0.0))
+            1.0 + float(np.abs(problem.b).max(initial=0.0))
         )
         eps_dual = settings.eps_dual * (
-            1.0 + float(np.max(np.abs(problem.c), initial=0.0))
+            1.0 + float(np.abs(problem.c).max(initial=0.0))
         )
         # Gap tolerance is anchored at the *nominal* cold-start gap
         # ((n+m) * initial_value^2) so a warm start near the optimum is
@@ -445,10 +445,10 @@ class CrossbarPDIPSolver:
             # track it (the controller knows its own ADC resolution).
             lay = system.layout
             floor_p = quant_rel * float(
-                np.max(np.abs(product[lay.row_primal]), initial=0.0)
+                np.abs(product[lay.row_primal]).max(initial=0.0)
             )
             floor_d = quant_rel * float(
-                np.max(np.abs(product[lay.row_dual]), initial=0.0)
+                np.abs(product[lay.row_dual]).max(initial=0.0)
             )
             if converged(
                 p_inf,
@@ -470,8 +470,8 @@ class CrossbarPDIPSolver:
                 stall += 1
                 if stall >= settings.stall_iterations:
                     iterate_peak = max(
-                        float(np.max(np.abs(x), initial=0.0)),
-                        float(np.max(np.abs(y), initial=0.0)),
+                        float(np.abs(x).max(initial=0.0)),
+                        float(np.abs(y).max(initial=0.0)),
                     )
                     x, y, w, z = best_state
                     if iterate_peak > collapse_bound:
@@ -500,8 +500,8 @@ class CrossbarPDIPSolver:
                     delta = operator.solve(residual)
             except CrossbarSolveError as exc:
                 iterate_peak = max(
-                    float(np.max(np.abs(x), initial=0.0)),
-                    float(np.max(np.abs(y), initial=0.0)),
+                    float(np.abs(x).max(initial=0.0)),
+                    float(np.abs(y).max(initial=0.0)),
                 )
                 if iterate_peak > collapse_bound:
                     # The iterates grew until the conductance mapping's

@@ -34,8 +34,8 @@ def scaled_big_m(problem: LinearProgram, big_m: float) -> float:
     """The divergence bound scaled to the problem's data magnitude."""
     data_scale = max(
         1.0,
-        float(np.max(np.abs(problem.b), initial=0.0)),
-        float(np.max(np.abs(problem.c), initial=0.0)),
+        float(np.abs(problem.b).max(initial=0.0)),
+        float(np.abs(problem.c).max(initial=0.0)),
     )
     return big_m * data_scale
 
@@ -57,7 +57,7 @@ def collapse_threshold(
     certificate reached through hardware (primal infeasible /
     unbounded), rather than a plain numerical failure.
     """
-    structural = max(1.0, float(np.max(np.abs(problem.A), initial=0.0)))
+    structural = max(1.0, float(np.abs(problem.A).max(initial=0.0)))
     return 0.25 * (resistance_ratio / scale_headroom) * structural
 
 
@@ -75,8 +75,8 @@ def detect_divergence(
     bound:
         Pre-scaled divergence bound (see :func:`scaled_big_m`).
     """
-    x_max = float(np.max(np.abs(x), initial=0.0))
-    y_max = float(np.max(np.abs(y), initial=0.0))
+    x_max = float(np.abs(x).max(initial=0.0))
+    y_max = float(np.abs(y).max(initial=0.0))
     if not np.isfinite(x_max) or x_max > bound:
         return DivergenceKind.DUAL_INFEASIBLE
     if not np.isfinite(y_max) or y_max > bound:

@@ -472,6 +472,6 @@ class AugmentedNewtonSystem:
         work — it reuses the residual the crossbar already computed.
         """
         lay = self.layout
-        primal = float(np.max(np.abs(residual[lay.row_primal]), initial=0.0))
-        dual = float(np.max(np.abs(residual[lay.row_dual]), initial=0.0))
+        primal = float(np.abs(residual[lay.row_primal]).max(initial=0.0))
+        dual = float(np.abs(residual[lay.row_dual]).max(initial=0.0))
         return primal, dual

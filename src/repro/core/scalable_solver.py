@@ -369,10 +369,10 @@ class LargeScaleCrossbarPDIPSolver:
                 )
 
         eps_primal = settings.eps_primal * (
-            1.0 + float(np.max(np.abs(problem.b), initial=0.0))
+            1.0 + float(np.abs(problem.b).max(initial=0.0))
         )
         eps_dual = settings.eps_dual * (
-            1.0 + float(np.max(np.abs(problem.c), initial=0.0))
+            1.0 + float(np.abs(problem.c).max(initial=0.0))
         )
         # Anchored at the nominal cold-start gap ((n+m)*initial_value^2,
         # identical to duality_gap at the flat start) so warm starts
@@ -448,10 +448,10 @@ class LargeScaleCrossbarPDIPSolver:
             # Converter noise floor on the residual read-out (see the
             # matching comment in crossbar_solver).
             floor_p = quant_rel * float(
-                np.max(np.abs(product1[:m]), initial=0.0)
+                np.abs(product1[:m]).max(initial=0.0)
             )
             floor_d = quant_rel * float(
-                np.max(np.abs(product1[m:m + n]), initial=0.0)
+                np.abs(product1[m:m + n]).max(initial=0.0)
             )
             if converged(
                 p_inf,
@@ -473,8 +473,8 @@ class LargeScaleCrossbarPDIPSolver:
                 stall += 1
                 if stall >= settings.stall_iterations:
                     iterate_peak = max(
-                        float(np.max(np.abs(x), initial=0.0)),
-                        float(np.max(np.abs(y), initial=0.0)),
+                        float(np.abs(x).max(initial=0.0)),
+                        float(np.abs(y).max(initial=0.0)),
                     )
                     x, y, w, z = best_state
                     if iterate_peak > collapse_bound:
@@ -530,8 +530,8 @@ class LargeScaleCrossbarPDIPSolver:
                     dz, dw = system.extract_steps_m2(delta2)
             except CrossbarSolveError as exc:
                 iterate_peak = max(
-                    float(np.max(np.abs(x), initial=0.0)),
-                    float(np.max(np.abs(y), initial=0.0)),
+                    float(np.abs(x).max(initial=0.0)),
+                    float(np.abs(y).max(initial=0.0)),
                 )
                 if iterate_peak > collapse_bound:
                     # Dynamic-range collapse while the iterates diverge:

@@ -261,8 +261,8 @@ class ScalableNewtonSystem:
         primal = self.problem.b - product[:m] - w
         dual = self.problem.c - product[m:m + n] + z
         return (
-            float(np.max(np.abs(primal), initial=0.0)),
-            float(np.max(np.abs(dual), initial=0.0)),
+            float(np.abs(primal).max(initial=0.0)),
+            float(np.abs(dual).max(initial=0.0)),
         )
 
     def extract_steps_m1(

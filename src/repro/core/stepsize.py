@@ -61,12 +61,12 @@ def ratio_test_theta(
     if ignore_below < 0:
         raise ValueError("ignore_below must be non-negative")
     interior = state > ignore_below
-    if not np.all(state > 0):
+    if not (state > 0).all():
         raise ValueError("ratio test requires strictly positive state")
-    if not np.any(interior):
+    if not interior.any():
         return step_scale
     ratios = -step[interior] / state[interior]
-    max_ratio = float(np.max(ratios, initial=0.0))
+    max_ratio = float(ratios.max(initial=0.0))
     if max_ratio <= 0.0:
         return step_scale
     return step_scale * min(1.0 / max_ratio, 1.0)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crossbar.mapping import ConductanceMapping
-from repro.crossbar.programming import WriteReport, plan_diff, plan_write
+from repro.crossbar.programming import WriteReport, plan_write
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
@@ -134,6 +134,10 @@ def run_write_verify(
     )
 
 
+#: The report of a cell write that touched nothing (shared; immutable).
+_NO_WRITE = WriteReport(0, 0, 0.0, 0.0)
+
+
 class CrossbarArray:
     """An N_rows x N_cols memristor crossbar.
 
@@ -192,7 +196,6 @@ class CrossbarArray:
         # A blank array has every cell isolated (1T1R off state).
         self._nominal = np.zeros((n_rows, n_cols))
         self._actual = self.variation.perturb(self._nominal, self.rng)
-        self.write_log: list[WriteReport] = []
         self._total_report = WriteReport(0, 0, 0.0, 0.0)
         # Column-sum caches for the multiply denominators, kept in the
         # *canonical* reduction order (see :func:`canonical_colsums`):
@@ -294,47 +297,85 @@ class CrossbarArray:
         previous physical deviation.
 
         With ``skip_unchanged=True`` the write set is first filtered
-        through :func:`~repro.crossbar.programming.plan_diff`: cells
-        whose target already matches the programmed value are dropped
-        before any physical modeling — no variation redraw, no
-        write–verify read-back, and range validation covers only the
-        cells that move.  A skipped cell keeps its existing deviation
-        (no write event happened to it).
+        down to the cells that change: cells whose target exactly
+        matches the programmed value are dropped before any physical
+        modeling — no variation redraw, no write–verify read-back, and
+        range validation covers only the cells that move.  A skipped
+        cell keeps its existing deviation (no write event happened to
+        it).
+
+        Validates alignment and index range, then runs the one write
+        core shared with the analog operator's internal writers.
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
         conductances = np.asarray(conductances, dtype=float)
         if not (rows.shape == cols.shape == conductances.shape):
             raise ValueError("rows, cols, conductances must align")
-        if rows.size == 0:
-            report = WriteReport(0, 0, 0.0, 0.0)
-            self.write_log.append(report)
-            return report  # nothing written: no events to record
-        if rows.min() < 0 or rows.max() >= self.n_rows:
-            raise IndexError("row index out of range")
-        if cols.min() < 0 or cols.max() >= self.n_cols:
-            raise IndexError("column index out of range")
-        if skip_unchanged:
-            diff = plan_diff(self._nominal, rows, cols, conductances)
-            if diff.empty:
-                report = WriteReport(0, 0, 0.0, 0.0)
-                self.write_log.append(report)
-                return report  # every target already programmed
-            rows, cols, conductances = diff.rows, diff.cols, diff.targets
-        self._validate_range(conductances)
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= self.n_rows:
+                raise IndexError("row index out of range")
+            if cols.min() < 0 or cols.max() >= self.n_cols:
+                raise IndexError("column index out of range")
+        return self._write_cells(
+            rows.ravel(),
+            cols.ravel(),
+            conductances.ravel(),
+            skip_unchanged=skip_unchanged,
+        )
 
-        old_cells = self._nominal[rows, cols]
+    def _write_cells(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        conductances: np.ndarray,
+        *,
+        skip_unchanged: bool,
+    ) -> WriteReport:
+        """The one cell-write core behind :meth:`program_cells`.
+
+        ``rows``/``cols`` must be aligned 1-D in-range integer index
+        arrays and ``conductances`` a matching float array — the public
+        method checks that; the operator's writers build their indices
+        valid by construction and call here directly.  One pass: diff
+        filter, range check, write plan, variation draw, write–verify,
+        dirty-column marking and accounting.
+
+        The write plan prices the changed cells as one ``(1, k)``
+        batch, and variation draws happen in cell order from
+        :attr:`rng` — both part of the determinism contract.
+        """
+        if rows.size == 0:
+            return _NO_WRITE  # nothing written: no events to record
+        current = self._nominal[rows, cols]
+        if skip_unchanged:
+            # Exactly-equal targets are skipped writes: no variation
+            # redraw, no read-back, no range check.
+            changed = conductances != current
+            if not changed.all():
+                if not changed.any():
+                    return _NO_WRITE  # every target already programmed
+                rows = rows[changed]
+                cols = cols[changed]
+                conductances = conductances[changed]
+                current = current[changed]
+        # One min/max pass; NaN fails both comparisons, and the full
+        # validation then raises with the precise message.
+        if not (
+            conductances.min() >= 0.0
+            and conductances.max() <= self.params.g_on * (1 + 1e-12)
+        ):
+            self._validate_range(conductances)
+
         report = plan_write(
-            old_cells.reshape(1, -1),
+            current.reshape(1, -1),
             conductances.reshape(1, -1),
             self.params,
         )
         self._nominal[rows, cols] = conductances
-
-        perturbed = self.variation.perturb(
+        self._actual[rows, cols] = self.variation.perturb(
             conductances.reshape(1, -1), self.rng
         ).ravel()
-        self._actual[rows, cols] = perturbed
         report = self._verify_written(rows, cols, report)
         self._mark_dirty(cols)
         self._log_write(report)
@@ -365,7 +406,6 @@ class CrossbarArray:
         return report
 
     def _log_write(self, report: WriteReport) -> None:
-        self.write_log.append(report)
         self._total_report = self._total_report + report
         self._record_write(report)
 
@@ -421,17 +461,9 @@ class CrossbarArray:
             rng=self.rng,
         )
 
-    def _validate_range(
-        self,
-        conductances: np.ndarray,
-        mask: np.ndarray | slice | None = None,
-    ) -> None:
+    def _validate_range(self, conductances: np.ndarray) -> None:
         # Targets are either exactly 0 (cell isolated, 1T1R off state)
-        # or inside the device window [g_off, g_on].  ``mask`` restricts
-        # validation to a subset (the cells a differential write will
-        # actually touch); initial full-grid programming passes None.
-        if mask is not None:
-            conductances = conductances[mask]
+        # or inside the device window [g_off, g_on].
         if conductances.size == 0:
             return
         if not np.all(np.isfinite(conductances)):
@@ -566,7 +598,7 @@ class CrossbarArray:
             raise CrossbarSolveError(
                 "perturbed conductance matrix is singular"
             ) from exc
-        if not np.all(np.isfinite(v_in)):
+        if not np.isfinite(v_in).all():
             raise CrossbarSolveError("analog solve produced non-finite rails")
         return v_in
 
@@ -576,9 +608,9 @@ class CrossbarArray:
     def total_write_report(self) -> WriteReport:
         """Accumulated write costs over the array's lifetime.
 
-        Maintained as a running total at each write so frequent
+        Maintained as a running total at each write, so frequent
         baselining (the serving layer snapshots it around every job)
-        stays O(1) instead of replaying the whole ``write_log``.
+        is O(1) and a long-lived array keeps no per-write history.
         """
         return self._total_report
 

@@ -103,8 +103,8 @@ def map_cells(
     The O(#cells) counterpart of :func:`map_matrix`: applies the same
     ``target = scale * value`` mapping and ``g_off`` floor handling to
     an arbitrary cell subset, so a differential update (see
-    :class:`~repro.crossbar.programming.DiffProgram`) never touches the
-    full grid.  ``scale`` may be a scalar (global mapping) or an array
+    :meth:`~repro.crossbar.array.CrossbarArray.program_cells`) never
+    touches the full grid.  ``scale`` may be a scalar (global mapping) or an array
     aligned with ``values`` (per-row mapping, caller pre-gathers the
     row scales).
 

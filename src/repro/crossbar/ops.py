@@ -229,7 +229,8 @@ class AnalogMatrixOperator:
         grid_in, grid_rows = np.meshgrid(
             np.arange(self.n_in), rows, indexing="ij"
         )
-        return self.array.program_cells(
+        # Indices are in range by construction: straight to the core.
+        return self.array._write_cells(
             grid_in.ravel(),
             grid_rows.ravel(),
             targets.ravel(),
@@ -312,9 +313,7 @@ class AnalogMatrixOperator:
         if not (rows.shape == cols.shape == values.shape):
             raise ValueError("rows, cols, values must have matching shapes")
         if values.size == 0:
-            return self.array.program_cells(
-                np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
-            )
+            return WriteReport(0, 0, 0.0, 0.0)
         if values.min() < 0:
             raise MappingError("coefficients must be non-negative")
 
@@ -352,8 +351,9 @@ class AnalogMatrixOperator:
             values, scale, self.params, off_state=self.off_state
         )
         self._floored[cols, rows] = floored
-        # Crossbar cell (i, j) carries coefficient A[j, i].
-        return self.array.program_cells(
+        # Crossbar cell (i, j) carries coefficient A[j, i]; the indices
+        # just addressed the coefficient matrix, so they are in range.
+        return self.array._write_cells(
             cols, rows, targets, skip_unchanged=True
         )
 
@@ -420,7 +420,7 @@ class AnalogMatrixOperator:
         if rescale_rows.size:
             report = report + self._program_rows(rescale_rows)
         keep = ~np.isin(rows, rescale_rows)
-        if np.any(keep):
+        if keep.any():
             k_rows = rows[keep]
             k_cols = cols[keep]
             k_vals, floored = map_cells(
@@ -430,7 +430,7 @@ class AnalogMatrixOperator:
                 off_state=self.off_state,
             )
             self._floored[k_cols, k_rows] = floored
-            report = report + self.array.program_cells(
+            report = report + self.array._write_cells(
                 k_cols, k_rows, k_vals, skip_unchanged=True
             )
         return report
@@ -462,7 +462,7 @@ class AnalogMatrixOperator:
         """
         cache = self._solve_gain_cache
         if cache is None:
-            scale_ref = float(np.max(self._scales))
+            scale_ref = float(self._scales.max())
             gain = self._scales / scale_ref if self.row_scaling else None
             cache = self._solve_gain_cache = (scale_ref, gain)
         return cache
@@ -478,7 +478,7 @@ class AnalogMatrixOperator:
             )
         with self.tracer.span("op.multiply"):
             self.tracer.count("analog.multiplies")
-            peak = float(np.max(np.abs(x)))
+            peak = float(np.abs(x).max())
             if peak < 1e-300:
                 # Zero or subnormal drive: below any representable input
                 # voltage (and the gain s_x would overflow).
@@ -520,7 +520,7 @@ class AnalogMatrixOperator:
                 f"expected vector of shape ({self.n_out},), got {b.shape}"
             )
         with self.tracer.span("op.solve"):
-            peak = float(np.max(np.abs(b)))
+            peak = float(np.abs(b).max())
             if peak < 1e-300:
                 # Zero or subnormal target: below any representable
                 # voltage.

@@ -93,78 +93,6 @@ class WriteReport:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class DiffProgram:
-    """A filtered cell-write set: only the cells that actually change.
-
-    Produced by :func:`plan_diff` from a proposed write against the
-    currently programmed nominal grid.  Cells whose target already
-    matches are dropped *before* any physical-write modeling — no
-    variation redraw, no write–verify read-back, no range validation —
-    so the cost of applying the diff scales with the number of cells
-    that move, not the number of cells proposed.  This is the primitive
-    behind the paper's O(N)-per-iteration claim: the solvers propose
-    the same 2(n+m) diagonal cells every iteration, and remaps/rescales
-    propose whole rows of a mostly-zero augmented matrix, but only the
-    moving conductances are ever touched.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    targets: np.ndarray
-    skipped: int
-
-    @property
-    def cells(self) -> int:
-        """Number of cells this diff will physically write."""
-        return int(self.rows.size)
-
-    @property
-    def empty(self) -> bool:
-        return self.rows.size == 0
-
-
-def plan_diff(
-    nominal: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    targets: np.ndarray,
-    *,
-    tolerance: float = 0.0,
-    g_off: float = 0.0,
-) -> DiffProgram:
-    """Filter a proposed cell write down to the cells that change.
-
-    Parameters
-    ----------
-    nominal:
-        The currently programmed (nominal) conductance grid.
-    rows, cols, targets:
-        Proposed cell coordinates and their new conductance targets.
-    tolerance:
-        Relative deadband: with ``tolerance > 0`` a cell is skipped
-        when ``|new - old| <= tolerance * max(|old|, g_off)`` (the same
-        deadband :func:`plan_write` uses).  The default 0 skips only
-        exactly-equal targets.
-    g_off:
-        Off-conductance reference for the relative deadband.
-    """
-    current = nominal[rows, cols]
-    if tolerance > 0.0:
-        scale = np.maximum(np.abs(current), g_off)
-        changed = np.abs(targets - current) > tolerance * scale
-    else:
-        changed = targets != current
-    if changed.all():
-        return DiffProgram(rows=rows, cols=cols, targets=targets, skipped=0)
-    return DiffProgram(
-        rows=rows[changed],
-        cols=cols[changed],
-        targets=targets[changed],
-        skipped=int(changed.size - np.count_nonzero(changed)),
-    )
-
-
 #: Fraction of the selected-cell write energy dissipated by each
 #: half-selected device on the same word/bit line.  A half-selected cell
 #: sees V_dd/2, i.e. a quarter of the power of the selected cell, for
@@ -179,7 +107,7 @@ def conductance_to_state(
 ) -> np.ndarray:
     """Normalized device state x in [0, 1] realizing each conductance."""
     conductance = np.asarray(conductance, dtype=float)
-    resistance = 1.0 / np.clip(conductance, params.g_off, params.g_on)
+    resistance = 1.0 / conductance.clip(params.g_off, params.g_on)
     return (params.r_off - resistance) / (params.r_off - params.r_on)
 
 

@@ -93,9 +93,9 @@ def quantize_auto(
     if mode == "entry":
         mantissa, exponent = np.frexp(values)
         scale = float(2**bits)
-        return np.ldexp(np.round(mantissa * scale) / scale, exponent)
+        return np.ldexp((mantissa * scale).round() / scale, exponent)
     if mode == "vector":
-        peak = float(np.max(np.abs(values))) if values.size else 0.0
+        peak = float(np.abs(values).max()) if values.size else 0.0
         if peak < 1e-300:
             # Zero or subnormal peak: below any representable converter
             # reference voltage, and the step computation would

@@ -107,9 +107,6 @@ class CrossbarStack:
         shape = (self.n_members, self.n_rows, self.n_cols)
         self._nominal = np.zeros(shape)
         self._actual = self.variation.perturb_stack(self._nominal, self.rngs)
-        self.write_logs: list[list[WriteReport]] = [
-            [] for _ in range(self.n_members)
-        ]
         self._total_reports = [
             WriteReport(0, 0, 0.0, 0.0) for _ in range(self.n_members)
         ]
@@ -172,7 +169,6 @@ class CrossbarStack:
         return np.unique(members)
 
     def _log_write(self, member: int, report: WriteReport) -> None:
-        self.write_logs[member].append(report)
         self._total_reports[member] = self._total_reports[member] + report
         tracer = self.tracer
         if not tracer.enabled:
@@ -288,8 +284,8 @@ class CrossbarStack:
         array would compute.
 
         Returns a K-long list: a :class:`WriteReport` per selected
-        member, ``None`` for members the mask excluded (their write
-        logs see no event, exactly like an untouched serial array).
+        member, ``None`` for members the mask excluded (their totals
+        see no event, exactly like an untouched serial array).
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
@@ -317,9 +313,7 @@ class CrossbarStack:
             )
         if rows.size == 0:
             for member in selected:
-                report = WriteReport(0, 0, 0.0, 0.0)
-                self.write_logs[member].append(report)
-                results[member] = report
+                results[member] = WriteReport(0, 0, 0.0, 0.0)
             return results
         if rows.min() < 0 or rows.max() >= self.n_rows:
             raise IndexError("row index out of range")
@@ -334,12 +328,10 @@ class CrossbarStack:
         changed_counts = changed.sum(axis=1)
 
         # Members whose whole write set was skipped get the serial
-        # path's zero report (logged, but not a physical event).
+        # path's zero report (not a physical event).
         for pos, member in enumerate(selected):
             if skip_unchanged and changed_counts[pos] == 0:
-                report = WriteReport(0, 0, 0.0, 0.0)
-                self.write_logs[member].append(report)
-                results[member] = report
+                results[member] = WriteReport(0, 0, 0.0, 0.0)
         active = (
             np.flatnonzero(changed_counts > 0)
             if skip_unchanged

@@ -6,8 +6,8 @@ The measurement substrate for the solver stack (DESIGN.md §9, §14):
   :class:`Stopwatch` behind every ``elapsed_seconds``.
 - :mod:`repro.obs.tracer` — the hierarchical :class:`Tracer` API
   (spans / counters / gauges / histogram observations), its
-  zero-overhead :data:`NOOP` default and the in-memory
-  :class:`RecordingTracer`.
+  zero-overhead :data:`NOOP` default, the aggregates-only
+  :class:`CountingTracer` and the in-memory :class:`RecordingTracer`.
 - :mod:`repro.obs.metrics` — streaming fixed-log-bucket histograms
   with quantile estimation, sliding windows, and the labeled
   :class:`MetricsRegistry` behind live serving telemetry.
@@ -49,6 +49,7 @@ from repro.obs.slo import ErrorBudget, SLOPolicy, SLOTracker
 from repro.obs.tracer import (
     NOOP,
     CountEvent,
+    CountingTracer,
     GaugeEvent,
     HistEvent,
     RecordingTracer,
@@ -60,6 +61,7 @@ __all__ = [
     "monotonic",
     "Stopwatch",
     "Tracer",
+    "CountingTracer",
     "RecordingTracer",
     "NOOP",
     "SpanEvent",

@@ -23,6 +23,11 @@ cost one attribute lookup and call per hook when tracing is off.  Hot
 loops that would build argument dicts can guard on
 :attr:`Tracer.enabled` to skip even that.
 
+A :class:`CountingTracer` keeps only the aggregates — counter, gauge
+and histogram maps — and hands out the null span: what a caller needs
+when it reads totals but never replays the stream (the serving layer's
+per-attempt tracers when the service tracer does not record).
+
 A :class:`RecordingTracer` keeps the full event stream (spans close in
 end-time order; counter/gauge events carry the innermost open span id,
 so a replay can attribute them to a subtree) plus aggregated counter
@@ -142,8 +147,9 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """The no-op tracer: every hook does (almost) nothing.
 
-    Also the base interface :class:`RecordingTracer` implements.  Use
-    the shared :data:`NOOP` singleton rather than constructing one.
+    Also the base interface :class:`CountingTracer` and
+    :class:`RecordingTracer` implement.  Use the shared :data:`NOOP`
+    singleton rather than constructing one.
     """
 
     enabled: bool = False
@@ -164,6 +170,45 @@ class Tracer:
 
 #: Shared zero-overhead tracer; the default everywhere.
 NOOP = Tracer()
+
+
+class CountingTracer(Tracer):
+    """Tracer that keeps the aggregates and drops the event stream.
+
+    :attr:`counters`, :attr:`gauges` and :attr:`histograms` fold
+    exactly as :class:`RecordingTracer`'s do for the same calls, but no
+    event is stored and :meth:`span` returns the shared null span, so a
+    hook costs one dict update.  Use it where only totals are read.
+
+    Attributes
+    ----------
+    counters:
+        ``name -> accumulated total`` over all :meth:`count` calls.
+    gauges:
+        ``name -> last value`` over all :meth:`gauge` calls.
+    histograms:
+        ``name -> StreamingHistogram`` over all :meth:`observe` calls
+        (default bucket scheme, so histograms merge across tracers).
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.counters: dict[str, float] = {}
+        self.gauges: dict[str, float] = {}
+        self.histograms: dict[str, StreamingHistogram] = {}
+
+    def count(self, name: str, value: float = 1.0) -> None:
+        self.counters[name] = self.counters.get(name, 0.0) + value
+
+    def gauge(self, name: str, value: float) -> None:
+        self.gauges[name] = value
+
+    def observe(self, name: str, value: float) -> None:
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = StreamingHistogram()
+        hist.observe(value)
 
 
 class _RecordingSpan:
@@ -216,29 +261,22 @@ class _RecordingSpan:
         return False
 
 
-class RecordingTracer(Tracer):
+class RecordingTracer(CountingTracer):
     """Tracer that keeps the full event stream plus aggregates.
+
+    The aggregates (:attr:`counters`, :attr:`gauges`,
+    :attr:`histograms`) are :class:`CountingTracer`'s; every call also
+    appends its event.
 
     Attributes
     ----------
     events:
         Chronological event list (spans appended when they *close*).
-    counters:
-        ``name -> accumulated total`` over all :meth:`count` calls.
-    gauges:
-        ``name -> last value`` over all :meth:`gauge` calls.
-    histograms:
-        ``name -> StreamingHistogram`` over all :meth:`observe` calls
-        (default bucket scheme, so histograms merge across tracers).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
+        super().__init__()
         self.events: list = []
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, StreamingHistogram] = {}
         self._stack: list[int] = []
         self._ids = itertools.count(1)
 
@@ -247,7 +285,7 @@ class RecordingTracer(Tracer):
         return _RecordingSpan(self, name, parent, attrs)
 
     def count(self, name: str, value: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + value
+        super().count(name, value)
         self.events.append(
             CountEvent(
                 name=name,
@@ -258,7 +296,7 @@ class RecordingTracer(Tracer):
         )
 
     def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
+        super().gauge(name, value)
         self.events.append(
             GaugeEvent(
                 name=name,
@@ -269,10 +307,7 @@ class RecordingTracer(Tracer):
         )
 
     def observe(self, name: str, value: float) -> None:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = StreamingHistogram()
-        hist.observe(value)
+        super().observe(name, value)
         self.events.append(
             HistEvent(
                 name=name,

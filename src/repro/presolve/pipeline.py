@@ -377,18 +377,24 @@ def _collapse_proportional_rows(
         peak = abs(rep[pivot])
         if peak == 0.0:
             continue  # empty row; the row rule owns it
-        members = [p]
-        factors = [1.0]
-        for q in range(p + 1, rows.size):
-            if used[q]:
-                continue
-            factor = sub[q, pivot] / rep[pivot]
-            if factor == 0.0:
-                continue
-            budget = _PROPORTIONAL_RTOL * peak * max(1.0, abs(factor))
-            if np.max(np.abs(sub[q] - factor * rep)) <= budget:
-                members.append(q)
-                factors.append(factor)
+        # Every live later row at once: its factor against the pivot,
+        # its deviation budget, and its largest deviation from
+        # ``factor * rep`` — the same elementwise arithmetic, and a max
+        # reduction is exact in any order.
+        cand = p + 1 + np.flatnonzero(~used[p + 1:])
+        cand_factors = sub[cand, pivot] / rep[pivot]
+        nonzero = cand_factors != 0.0
+        cand = cand[nonzero]
+        cand_factors = cand_factors[nonzero]
+        budgets = (
+            _PROPORTIONAL_RTOL * peak * np.maximum(1.0, np.abs(cand_factors))
+        )
+        deviations = np.abs(
+            sub[cand] - cand_factors[:, None] * rep[None, :]
+        ).max(axis=1)
+        match = deviations <= budgets
+        members = [p] + cand[match].tolist()
+        factors = [1.0] + cand_factors[match].tolist()
         if len(members) == 1:
             continue
         used[members] = True

@@ -63,6 +63,8 @@ from repro.service.service import (
     _failed_result,
     _WorkItem,
     attempt_energy,
+    attempt_events,
+    attempt_tracer,
 )
 
 #: How long a worker sleeps waiting for dispatchable work before
@@ -89,6 +91,7 @@ def _remote_attempt(
     operator_blob: bytes | None,
     trace_iterations: bool,
     deadline_budget_s: float | None,
+    record_events: bool,
     initial_state=None,
 ):
     """One analog attempt, executed inside a worker process.
@@ -97,10 +100,13 @@ def _remote_attempt(
     ``service.job`` span attributes, same RNG call order (operator
     program / adopt, then solve), so for a given ``(job, attempt,
     warm-state)`` the child computes the same result the serial
-    scheduler would.  Returns ``(result, trace event dicts, pickled
-    operator state or None, cells_written, program_cells, energy_j)``
-    — everything the parent needs to install the member and conclude
-    the attempt.
+    scheduler would.  Returns ``(result, trace event dicts or None,
+    pickled operator state or None, cells_written, program_cells,
+    energy_j)`` — everything the parent needs to install the member and
+    conclude the attempt.  ``record_events`` selects the attempt tracer
+    as :func:`~repro.service.service.attempt_tracer` does in process:
+    the event stream is kept and shipped only when the parent's service
+    tracer records.
 
     Runs single-threaded in its own process; needs no locks.
     """
@@ -108,7 +114,7 @@ def _remote_attempt(
     recovery = RecoveryPolicy(
         reprograms=0, remaps=0, digital_fallback=None, probe=probe
     )
-    job_tracer = RecordingTracer()
+    job_tracer = attempt_tracer(record_events)
     deadline = (
         Deadline(max(deadline_budget_s, 1e-9))
         if deadline_budget_s is not None
@@ -173,7 +179,7 @@ def _remote_attempt(
     operator.array.tracer = NOOP
     return (
         result,
-        job_tracer.event_dicts(),
+        attempt_events(job_tracer),
         pickle.dumps(operator),
         cells,
         program_cells,
@@ -446,6 +452,7 @@ class ConcurrentDispatcher:
                 blob,
                 service.config.trace_iterations,
                 budget,
+                isinstance(service.tracer, RecordingTracer),
                 item.initial_state,
             )
             (

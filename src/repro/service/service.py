@@ -12,11 +12,14 @@ attempt on a :class:`~repro.service.pool.CrossbarPool` member:
 2. the pool places it — *warm* on a member already holding that
    fingerprint (diagonal rewrites only), else *cold* (full program);
 3. the solve runs via :meth:`~repro.core.crossbar_solver.
-   CrossbarPDIPSolver.solve_on` under a per-job ``service.job`` span
-   on a private :class:`~repro.obs.tracer.RecordingTracer`, absorbed
-   into the service tracer afterwards (the sweep engine's merge
-   discipline), so a batch trace attributes every analog op and cell
-   write to its job;
+   CrossbarPDIPSolver.solve_on` on a private per-attempt tracer
+   (:func:`attempt_tracer`).  When the service tracer records, that is
+   a :class:`~repro.obs.tracer.RecordingTracer` whose ``service.job``
+   span and events are absorbed into the service tracer afterwards
+   (the sweep engine's merge discipline), so a batch trace attributes
+   every analog op and cell write to its job; otherwise it is a
+   counters-only :class:`~repro.obs.tracer.CountingTracer`, enough for
+   cell and energy attribution;
 4. failures are isolated, never fatal: the failing member is excluded
    and — on a health-probe rejection — drained and recovered; the job
    is *requeued* (exempt from the admission bound: an accepted job is
@@ -83,7 +86,7 @@ from repro.exceptions import UnknownJobError
 from repro.obs.clock import Deadline, Stopwatch, monotonic
 from repro.obs.merge import absorb_events
 from repro.obs.metrics import exact_quantile
-from repro.obs.tracer import NOOP, RecordingTracer, Tracer
+from repro.obs.tracer import NOOP, CountingTracer, RecordingTracer, Tracer
 from repro.presolve import detect_infeasible, infeasible_result
 from repro.reliability.policy import RecoveryPolicy
 from repro.reliability.probe import ProbePolicy
@@ -462,7 +465,7 @@ class _WorkItem:
     member: PoolMember | None = None
     warm: bool = False
     remote: bool = False
-    job_tracer: RecordingTracer | None = None
+    job_tracer: CountingTracer | None = None
     span: object | None = None
     #: Warm-start iterates for a re-solve's first attempt, or None.
     initial_state: tuple | None = None
@@ -474,6 +477,27 @@ class _WorkItem:
     cells: int = 0
     energy_j: float = 0.0
     events: list | None = None
+
+
+def attempt_tracer(record: bool) -> CountingTracer:
+    """The private tracer for one analog attempt.
+
+    ``record`` is true when the service tracer records (a
+    :class:`~repro.obs.tracer.RecordingTracer`, e.g. ``--trace-out``):
+    the attempt then keeps its full span/event stream for absorption.
+    Otherwise nothing would ever read that stream, so the attempt keeps
+    counters only — all that cell accounting and :func:`attempt_energy`
+    read.  Both the in-process and the worker-process paths choose
+    their tracer here.
+    """
+    return RecordingTracer() if record else CountingTracer()
+
+
+def attempt_events(tracer: CountingTracer) -> list[dict] | None:
+    """An attempt tracer's event stream as dicts, or None if unrecorded."""
+    if isinstance(tracer, RecordingTracer):
+        return tracer.event_dicts()
+    return None
 
 
 def attempt_energy(
@@ -1139,7 +1163,7 @@ class SolverService:
             )
             return ("work", item)
 
-        job_tracer = RecordingTracer()
+        job_tracer = attempt_tracer(isinstance(self.tracer, RecordingTracer))
         item.job_tracer = job_tracer
         item.solver = CrossbarPDIPSolver(
             problem,
@@ -1226,7 +1250,7 @@ class SolverService:
         item.energy_j = attempt_energy(
             result, job_tracer.counters, item.settings
         )
-        item.events = job_tracer.event_dicts()
+        item.events = attempt_events(job_tracer)
 
     def _conclude(self, item: _WorkItem) -> JobRecord | None:
         """Fold an executed attempt back into the scheduler.
@@ -1281,7 +1305,7 @@ class SolverService:
                 rng=item.rng,
             )
             self.pool.release(member)
-        if item.events and isinstance(self.tracer, RecordingTracer):
+        if item.events:
             absorb_events(self.tracer, item.events)
         self._last_fingerprint = pending.fingerprint
         success = result is not None and result.success

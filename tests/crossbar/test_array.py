@@ -93,15 +93,15 @@ class TestProgramming:
         )
         assert report.cells_written == 0
 
-    def test_write_log_accumulates(self, rng):
+    def test_returned_reports_accumulate(self, rng):
         array, _, _ = programmed_array(rng)
-        n_events = len(array.write_log)
-        array.program_cells(
+        before = array.total_write_report
+        report = array.program_cells(
             np.array([0]), np.array([0]),
             np.array([YAKOPCIC_NAECON14.g_on * 0.7]),
         )
-        assert len(array.write_log) == n_events + 1
-        assert array.total_write_report.cells_written >= 1
+        assert report.cells_written == 1
+        assert array.total_write_report == before + report
 
 
 class TestMultiply:
@@ -216,20 +216,28 @@ class TestFullyOpenCells:
 class TestWriteReportAggregation:
     """``total_write_report`` over mixed program / program_cells runs."""
 
-    def test_totals_equal_sum_of_write_log(self, rng):
-        array, _, mapping = programmed_array(rng)
-        array.program_cells(
-            np.array([0, 1]),
-            np.array([1, 2]),
-            np.full(2, YAKOPCIC_NAECON14.g_on * 0.3),
+    def test_totals_equal_sum_of_returned_reports(self, rng):
+        matrix = rng.uniform(0.2, 1.0, size=(6, 6))
+        mapping = map_matrix(matrix, YAKOPCIC_NAECON14)
+        array = CrossbarArray(
+            6, 6, params=YAKOPCIC_NAECON14,
+            variation=UniformVariation(0.05), rng=rng,
         )
-        array.program(mapping.conductances)  # full rewrite on top
-        total = array.total_write_report
-        by_hand = array.write_log[0]
-        for report in array.write_log[1:]:
+        reports = [
+            array.program_mapping(mapping),
+            array.program_cells(
+                np.array([0, 1]),
+                np.array([1, 2]),
+                np.full(2, YAKOPCIC_NAECON14.g_on * 0.3),
+            ),
+            array.redraw(),
+            array.program(mapping.conductances),  # full rewrite on top
+        ]
+        by_hand = reports[0]
+        for report in reports[1:]:
             by_hand = by_hand + report
-        assert total == by_hand
-        assert len(array.write_log) == 3
+        assert array.total_write_report == by_hand
+        assert by_hand.cells_written > 0
 
     def test_full_program_then_selective_costs_accumulate(self, rng):
         array, _, _ = programmed_array(rng, n=4)

@@ -1,6 +1,13 @@
 """Tests for the span/counter/gauge tracer."""
 
-from repro.obs import NOOP, RecordingTracer, Stopwatch, Tracer, monotonic
+from repro.obs import (
+    NOOP,
+    CountingTracer,
+    RecordingTracer,
+    Stopwatch,
+    Tracer,
+    monotonic,
+)
 from repro.obs.tracer import _NULL_SPAN
 
 
@@ -116,3 +123,40 @@ class TestRecordingTracer:
         (event,) = tracer.events
         assert event.name == "fails"
         assert tracer._stack == []
+
+
+class TestCountingTracer:
+    @staticmethod
+    def feed(tracer):
+        with tracer.span("outer", job=1) as span:
+            tracer.count("crossbar.writes")
+            tracer.count("crossbar.cells_written", 12)
+            with tracer.span("inner"):
+                tracer.count("crossbar.cells_written", 0.5)
+                tracer.gauge("solver.iterations", 3)
+                tracer.observe("service.latency_s", 0.02)
+            span.set(status="optimal")
+        tracer.gauge("solver.iterations", 7)
+        tracer.count("analog.solves", 1e-17)
+        for value in (0.5, 3.0, 1e-6):
+            tracer.observe("service.latency_s", value)
+
+    def test_aggregates_equal_recording_tracer(self):
+        counting = CountingTracer()
+        recording = RecordingTracer()
+        self.feed(counting)
+        self.feed(recording)
+        assert counting.counters == recording.counters
+        assert counting.gauges == recording.gauges
+        assert counting.histograms.keys() == recording.histograms.keys()
+        for name, hist in counting.histograms.items():
+            assert hist.to_dict() == recording.histograms[name].to_dict()
+
+    def test_spans_are_null_and_no_events_kept(self):
+        counting = CountingTracer()
+        assert counting.enabled
+        assert counting.span("x", a=1) is _NULL_SPAN
+        self.feed(counting)
+        assert not hasattr(counting, "events")
+        assert not isinstance(counting, RecordingTracer)
+
