@@ -12,6 +12,12 @@ the composite PDIP fleet iteration (diagonal update + analog multiply
 The recorded headline is the composite-iteration speedup; the
 assertion gates at 2x (CI machines are noisy), while the local target
 the engine was built against is 3x.
+
+The end-to-end bench solves the accuracy sweep's LPs both ways —
+``solve_crossbar_batch`` against a serial ``solve_crossbar`` loop —
+asserts bitwise-equal results and records the batched/serial wall
+ratio per size.  It has no speed gate yet: it is the first whole-solve
+measurement of the batched engine.
 """
 
 import time
@@ -19,9 +25,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.batch_solver import solve_crossbar_batch
+from repro.core.crossbar_solver import solve_crossbar
 from repro.crossbar.ops import AnalogMatrixOperator
 from repro.crossbar.opstack import AnalogOperatorStack
 from repro.devices.variation import UniformVariation
+from repro.experiments.runner import SweepConfig, cell_seed, settings_for
+from repro.workloads.random_lp import random_feasible_lp
 
 K = 16
 N = 64
@@ -146,3 +156,87 @@ def test_primitive_speedups(perf_record):
     # strongest (pure BLAS batching), solve the weakest (LAPACK is
     # already vectorized per member).
     assert all(ratio >= 1.0 for ratio in ratios.values()), ratios
+
+
+#: (constraints, trials): the accuracy sweep's K=2 cells, plus one
+#: wide fleet.
+END_TO_END_CELLS = ((16, 2), (32, 2), (64, 2), (32, 16))
+VARIATION = 10
+
+
+def sweep_trials(size, trials, config):
+    """The accuracy sweep's LPs and solver generators for one cell.
+
+    Fresh generators on every call (seed derivation as in
+    ``accuracy_trial``), so both arms start from the same streams.
+    """
+    problems, rngs = [], []
+    for trial in range(trials):
+        seed = cell_seed(config, size, VARIATION, trial)
+        problems.append(
+            random_feasible_lp(size, rng=np.random.default_rng(seed))
+        )
+        rngs.append(np.random.default_rng(seed.spawn(1)[0]))
+    return problems, rngs
+
+
+def result_key(result):
+    return (
+        result.status,
+        result.iterations,
+        result.message,
+        result.x.tobytes(),
+        result.crossbar,
+    )
+
+
+def measure_cell(size, trials, config, settings, rounds=3):
+    """Best-of-rounds wall of both arms (alternated) and their results."""
+    best = {"serial": np.inf, "batched": np.inf}
+    keys = {}
+    for _ in range(rounds):
+        problems, rngs = sweep_trials(size, trials, config)
+        start = time.perf_counter()
+        serial = [
+            solve_crossbar(problem, settings, rng=rng)
+            for problem, rng in zip(problems, rngs)
+        ]
+        best["serial"] = min(best["serial"], time.perf_counter() - start)
+        problems, rngs = sweep_trials(size, trials, config)
+        start = time.perf_counter()
+        batched = solve_crossbar_batch(problems, settings, rngs=rngs)
+        best["batched"] = min(best["batched"], time.perf_counter() - start)
+        keys = {
+            "serial": [result_key(r) for r in serial],
+            "batched": [result_key(r) for r in batched],
+        }
+    return best, keys
+
+
+@pytest.mark.benchmark(group="batched-engine")
+def test_end_to_end_batched_vs_serial(benchmark, perf_record):
+    config = SweepConfig(sizes=(16, 32, 64), variations=(VARIATION,))
+    settings = settings_for("crossbar", VARIATION)
+
+    def run():
+        return {
+            (size, trials): measure_cell(size, trials, config, settings)
+            for size, trials in END_TO_END_CELLS
+        }
+
+    cells = {}
+    for (size, trials), (best, keys) in benchmark.pedantic(
+        run, rounds=1, iterations=1
+    ).items():
+        assert keys["batched"] == keys["serial"], (size, trials)
+        cells[f"m{size}_k{trials}"] = {
+            "serial_s": round(best["serial"], 4),
+            "batched_s": round(best["batched"], 4),
+            "batched_over_serial": round(
+                best["batched"] / best["serial"], 3
+            ),
+            "iterations": [key[1] for key in keys["serial"]],
+        }
+    perf_record.update(
+        group="batched-engine", variation=VARIATION, cells=cells
+    )

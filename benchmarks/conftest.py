@@ -12,16 +12,30 @@ Set ``REPRO_BENCH_OUT=<dir>`` to have benches that use the
 ``perf_record`` fixture drop machine-readable ``BENCH_<name>.json``
 performance records (plus any trace/metrics artifacts) there — CI
 uploads that directory.
+
+BLAS/OpenMP threads are pinned to one (unless the environment already
+sets them) before numpy is first imported: pool sizes are fixed when
+numpy loads, and unpinned threads made the same run up to 2.5x slower
+on a 2-core machine.  Every record carries the effective settings.
 """
 
-import json
 import os
-import pathlib
-import time
+import sys
 
-import pytest
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+#: False when something imported numpy before this file could pin it,
+#: in which case the variables above did not size its thread pools.
+PINNED_BEFORE_NUMPY = "numpy" not in sys.modules
 
-from repro.experiments import SweepConfig, paper_scale
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import time  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.experiments import SweepConfig, paper_scale  # noqa: E402
 
 
 def bench_config() -> SweepConfig:
@@ -90,6 +104,11 @@ def perf_record(request):
         record.setdefault("group", marker.kwargs["group"])
     record.setdefault(
         "elapsed_seconds", round(time.perf_counter() - start, 6)
+    )
+    record.setdefault(
+        "threads",
+        {var: os.environ.get(var) for var in THREAD_VARS}
+        | {"pinned_before_numpy": PINNED_BEFORE_NUMPY},
     )
     stats = getattr(getattr(bench, "stats", None), "stats", None)
     if stats is not None and stats.data:

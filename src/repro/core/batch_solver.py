@@ -219,10 +219,10 @@ def _lockstep_attempt(
             gap = duality_gap(member.x, member.y, member.w, member.z)
             lay = member.system.layout
             floor_p = quant_rel * float(
-                np.max(np.abs(products[pos][lay.row_primal]), initial=0.0)
+                np.abs(products[pos][lay.row_primal]).max(initial=0.0)
             )
             floor_d = quant_rel * float(
-                np.max(np.abs(products[pos][lay.row_dual]), initial=0.0)
+                np.abs(products[pos][lay.row_dual]).max(initial=0.0)
             )
             if converged(
                 p_inf,
@@ -248,8 +248,8 @@ def _lockstep_attempt(
                 member.stall += 1
                 if member.stall >= settings.stall_iterations:
                     iterate_peak = max(
-                        float(np.max(np.abs(member.x), initial=0.0)),
-                        float(np.max(np.abs(member.y), initial=0.0)),
+                        float(np.abs(member.x).max(initial=0.0)),
+                        float(np.abs(member.y).max(initial=0.0)),
                     )
                     member.x, member.y, member.w, member.z = member.best_state
                     if iterate_peak > member.collapse_bound:
@@ -281,8 +281,8 @@ def _lockstep_attempt(
             member = members[k]
             if errors[pos] is not None:
                 iterate_peak = max(
-                    float(np.max(np.abs(member.x), initial=0.0)),
-                    float(np.max(np.abs(member.y), initial=0.0)),
+                    float(np.abs(member.x).max(initial=0.0)),
+                    float(np.abs(member.y).max(initial=0.0)),
                 )
                 if iterate_peak > member.collapse_bound:
                     member.finish(
@@ -392,9 +392,9 @@ def _make_member(
         w=w,
         z=z,
         eps_primal=settings.eps_primal
-        * (1.0 + float(np.max(np.abs(problem.b), initial=0.0))),
+        * (1.0 + float(np.abs(problem.b).max(initial=0.0))),
         eps_dual=settings.eps_dual
-        * (1.0 + float(np.max(np.abs(problem.c), initial=0.0))),
+        * (1.0 + float(np.abs(problem.c).max(initial=0.0))),
         eps_gap=settings.eps_gap * max(1.0, gap0),
         divergence_bound=scaled_big_m(problem, settings.big_m),
         collapse_bound=collapse_threshold(

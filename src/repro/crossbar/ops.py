@@ -24,9 +24,9 @@ Two mapping policies are supported:
   its conductances together with the voltage forced on its sense node
   leaves the solution unchanged; in multiply mode the per-column
   output decodes with its own scale.  Row scales follow the row maxima
-  with hysteresis, so a rescale (a full-row rewrite) only happens when
-  a row's magnitude drifts far from its window; routine updates remain
-  O(cells changed).
+  with hysteresis, so a rescale (a rewrite of the row's nonzero cells)
+  only happens when a row's magnitude drifts far from its window;
+  routine updates remain O(cells changed).
 
 Coefficient updates (the O(N) per-iteration rewrites of the X, Y, Z, W
 blocks) go through :meth:`AnalogMatrixOperator.update_coefficients`.
@@ -51,6 +51,23 @@ from repro.reliability.verify import WriteVerifyPolicy
 #: (precision loss).  Between those bounds the old scale is kept, so
 #: per-iteration updates rarely trigger full-row rewrites.
 ROW_SCALE_HYSTERESIS = 8.0
+
+
+def check_indices(
+    rows: np.ndarray, cols: np.ndarray, n_out: int, n_in: int
+) -> None:
+    """Reject coefficient coordinates outside ``(n_out, n_in)``.
+
+    Negative indices are errors, not numpy wrap-arounds: an update
+    addressed to row ``-1`` is a caller bug, never the last row.  The
+    in-range case, once per solver iteration, costs one C call.
+    """
+    try:
+        np.ravel_multi_index((rows, cols), (n_out, n_in))
+    except ValueError:
+        if rows.min() < 0 or rows.max() >= n_out:
+            raise IndexError("row index out of range") from None
+        raise IndexError("column index out of range") from None
 
 
 class AnalogMatrixOperator:
@@ -205,36 +222,37 @@ class AnalogMatrixOperator:
         scale = self.params.g_on / (a_max * self.scale_headroom)
         return np.full(self.n_out, scale)
 
-    def _targets_for_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Conductance targets (G orientation) for coefficient rows."""
-        block, floored = map_cells(
-            self._coefficients[rows, :],
-            self._scales[rows, None],
+    def _program_rows(self, rows: np.ndarray) -> WriteReport:
+        """(Re)program the cells of the given coefficient rows that can move.
+
+        A cell whose coefficient is zero maps to the off-state value,
+        so when it already holds that value the write core's diff
+        filter would skip it.  One vectorized comparison over the rows
+        selects the other cells; only those are mapped, gathered and
+        diffed, so the per-cell work is O(row nonzeros + programmed
+        cells), not O(row width).  The selection keeps the row-major
+        cell order of the full-row rewrite, so variation draws and
+        write plans are unchanged.
+        """
+        rows = np.asarray(rows, dtype=int)
+        coefficients = self._coefficients[rows, :].T  # (n_in, k)
+        off = 0.0 if self.off_state == "zero" else self.params.g_off
+        cells_in, cells_pos = np.nonzero(
+            (coefficients != 0) | (self.array._nominal[:, rows] != off)
+        )
+        cells_row = rows[cells_pos]
+        targets, floored = map_cells(
+            coefficients[cells_in, cells_pos],
+            self._scales[cells_row],
             self.params,
             off_state=self.off_state,
         )
-        self._floored[:, rows] = floored.T
-        return block.T  # (n_in, len(rows))
-
-    def _program_rows(self, rows: np.ndarray) -> WriteReport:
-        """(Re)program all cells of the given coefficient rows.
-
-        Goes through the differential write path: cells whose target is
-        unchanged (the structural zeros of a sparse system, or rows
-        rescaled back to the scale they already hold) are skipped, so a
-        "full" reprogram costs O(cells that move), not O(N²).
-        """
-        rows = np.asarray(rows, dtype=int)
-        targets = self._targets_for_rows(rows)  # (n_in, k)
-        grid_in, grid_rows = np.meshgrid(
-            np.arange(self.n_in), rows, indexing="ij"
-        )
+        # A zero coefficient is always floored.
+        self._floored[:, rows] = True
+        self._floored[cells_in, cells_row] = floored
         # Indices are in range by construction: straight to the core.
         return self.array._write_cells(
-            grid_in.ravel(),
-            grid_rows.ravel(),
-            targets.ravel(),
-            skip_unchanged=True,
+            cells_in, cells_row, targets, skip_unchanged=True
         )
 
     # -- public accessors --------------------------------------------------
@@ -316,6 +334,7 @@ class AnalogMatrixOperator:
             return WriteReport(0, 0, 0.0, 0.0)
         if values.min() < 0:
             raise MappingError("coefficients must be non-negative")
+        check_indices(rows, cols, self.n_out, self.n_in)
 
         self._coefficients[rows, cols] = values
         if self.row_scaling:
@@ -392,7 +411,9 @@ class AnalogMatrixOperator:
         values: np.ndarray,
         floor_to_representable: bool,
     ) -> WriteReport:
-        affected = np.unique(rows)
+        in_rows = np.zeros(self.n_out, dtype=bool)
+        in_rows[rows] = True
+        affected = np.flatnonzero(in_rows)
         row_max = self._coefficients[affected, :].max(axis=1, initial=0.0)
         peak_target = row_max * self._scales[affected]
         rescale = (peak_target > self.params.g_on) | (
@@ -419,7 +440,8 @@ class AnalogMatrixOperator:
         report = WriteReport(0, 0, 0.0, 0.0)
         if rescale_rows.size:
             report = report + self._program_rows(rescale_rows)
-        keep = ~np.isin(rows, rescale_rows)
+        in_rows[affected] = rescale  # now marks the rescaled rows only
+        keep = ~in_rows[rows]
         if keep.any():
             k_rows = rows[keep]
             k_cols = cols[keep]

@@ -28,9 +28,10 @@ import numpy as np
 
 from repro.backend import Backend
 from repro.crossbar.mapping import map_cells
+from repro.crossbar.ops import check_indices
 from repro.crossbar.programming import WriteReport
 from repro.crossbar.quantization import quantize_auto
-from repro.crossbar.stack import CrossbarStack
+from repro.crossbar.stack import CrossbarStack, take_members
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
@@ -107,9 +108,9 @@ class AnalogOperatorStack:
             )
         if matrices.size == 0:
             raise MappingError("cannot wrap an empty matrix stack")
-        if not np.all(np.isfinite(matrices)):
+        if not np.isfinite(matrices).all():
             raise MappingError("matrices contain non-finite entries")
-        if np.any(matrices < 0):
+        if (matrices < 0).any():
             raise MappingError(
                 "matrices contain negative coefficients; memristance is "
                 "non-negative — eliminate negatives first (Eqn. 13)"
@@ -149,59 +150,48 @@ class AnalogOperatorStack:
             (self.n_members, self.n_in, self.n_out), dtype=bool
         )
         self._full_reprograms = np.zeros(self.n_members, dtype=int)
-        self._program_rows(np.arange(self.n_out), np.arange(self.n_members))
+        self._reprogram(np.arange(self.n_members))
         self._full_reprograms[:] = 1
 
     # -- scale management -------------------------------------------------
 
     def _fresh_scales(self, members: np.ndarray) -> np.ndarray:
         """Per-member no-hysteresis global scales, ``(len(members),)``."""
-        a_max = self._coefficients[members].max(axis=(1, 2), initial=0.0)
+        a_max = take_members(self._coefficients, members).max(
+            axis=(1, 2), initial=0.0
+        )
         a_max = np.where(a_max > 0.0, a_max, 1.0)
         return self.params.g_on / (a_max * self.scale_headroom)
 
-    def _targets_for_rows(
-        self, rows: np.ndarray, members: np.ndarray
-    ) -> np.ndarray:
-        """Conductance targets (G orientation) for coefficient rows.
+    def _reprogram(self, members: np.ndarray) -> list[WriteReport | None]:
+        """(Re)program the cells of the selected members that can move.
 
-        Returns ``(len(members), n_in, len(rows))`` and updates the
-        floored-cell masks of the selected members.  The global map is
-        elementwise, so one batched :func:`map_cells` call matches the
-        serial per-member call bitwise.
+        Per member, like the serial operator's row rewrite: a cell with
+        a zero coefficient that already holds the off-state value would
+        be skipped by the diff filter, so after one vectorized
+        comparison it is never mapped, gathered or diffed — a remap's
+        per-cell work is O(nonzeros + programmed cells) per member, not
+        O(N²).  Cells keep the row-major order of the full-grid
+        rewrite, so variation draws and write plans are unchanged.
         """
-        values = self._coefficients[members][:, rows, :]
-        block, floored = map_cells(
-            values,
-            self._scales[members, None, None],
-            self.params,
-            off_state=self.off_state,
-        )
-        self._floored[np.ix_(members, np.arange(self.n_in), rows)] = (
-            floored.transpose(0, 2, 1)
-        )
-        return block.transpose(0, 2, 1)
-
-    def _program_rows(
-        self, rows: np.ndarray, members: np.ndarray
-    ) -> list[WriteReport | None]:
-        """(Re)program all cells of the given coefficient rows.
-
-        Differential, like the serial path: unchanged cells are skipped
-        per member, so a "full" reprogram costs O(cells that move).
-        """
-        rows = np.asarray(rows, dtype=int)
-        targets = self._targets_for_rows(rows, members)
-        grid_in, grid_rows = np.meshgrid(
-            np.arange(self.n_in), rows, indexing="ij"
-        )
-        return self.stack.program_cells(
-            grid_in.ravel(),
-            grid_rows.ravel(),
-            targets.reshape(len(members), -1),
-            skip_unchanged=True,
-            members=members,
-        )
+        off = 0.0 if self.off_state == "zero" else self.params.g_off
+        writes = []
+        for member in members.tolist():
+            coefficients = self._coefficients[member].T  # (n_in, n_out)
+            cells_in, cells_out = np.nonzero(
+                (coefficients != 0) | (self.stack._nominal[member] != off)
+            )
+            targets, floored = map_cells(
+                coefficients[cells_in, cells_out],
+                self._scales[member],
+                self.params,
+                off_state=self.off_state,
+            )
+            # A zero coefficient is always floored.
+            self._floored[member] = True
+            self._floored[member, cells_in, cells_out] = floored
+            writes.append((cells_in, cells_out, targets))
+        return self.stack._write_cells(members, writes, skip_unchanged=True)
 
     # -- public accessors --------------------------------------------------
 
@@ -284,6 +274,7 @@ class AnalogOperatorStack:
             )
         if values.min() < 0:
             raise MappingError("coefficients must be non-negative")
+        check_indices(rows, cols, self.n_out, self.n_in)
 
         self._coefficients[
             selected[:, None], rows[None, :], cols[None, :]
@@ -293,7 +284,8 @@ class AnalogOperatorStack:
         needs_remap = values.max(axis=1) * scale > self.params.g_on
         if needs_remap.any():
             a_max = np.maximum(
-                self._coefficients[selected].max(axis=(1, 2)), 1e-300
+                take_members(self._coefficients, selected).max(axis=(1, 2)),
+                1e-300,
             )
             scale_after = np.where(
                 needs_remap,
@@ -314,9 +306,7 @@ class AnalogOperatorStack:
         remap_members = selected[needs_remap]
         if remap_members.size:
             self._scales[remap_members] = scale_after[needs_remap]
-            reports = self._program_rows(
-                np.arange(self.n_out), remap_members
-            )
+            reports = self._reprogram(remap_members)
             self._full_reprograms[remap_members] += 1
             for member in remap_members:
                 results[member] = reports[member]
@@ -333,8 +323,10 @@ class AnalogOperatorStack:
             self._floored[
                 keep_members[:, None], cols[None, :], rows[None, :]
             ] = floored
-            reports = self.stack.program_cells(
-                cols, rows, targets, skip_unchanged=True, members=keep_members
+            reports = self.stack._write_cells(
+                keep_members,
+                [(cols, rows, member_targets) for member_targets in targets],
+                skip_unchanged=True,
             )
             for member in keep_members:
                 results[member] = reports[member]
@@ -351,9 +343,7 @@ class AnalogOperatorStack:
         moved_members = selected[moved]
         if moved_members.size:
             self._scales[moved_members] = fresh[moved]
-            reports = self._program_rows(
-                np.arange(self.n_out), moved_members
-            )
+            reports = self._reprogram(moved_members)
             self._full_reprograms[moved_members] += 1
             for member in moved_members:
                 results[member] = reports[member]
@@ -391,7 +381,6 @@ class AnalogOperatorStack:
         solver uses this to skip converged stragglers.
         """
         selected = self.stack._member_indices(members)
-        full = selected.size == self.n_members
         x = np.asarray(x, dtype=float)
         if x.shape == (self.n_in,):
             x = np.broadcast_to(x, (selected.size, self.n_in))
@@ -400,34 +389,31 @@ class AnalogOperatorStack:
                 f"expected ({selected.size}, {self.n_in}) inputs, "
                 f"got {x.shape}"
             )
-        scales = self._scales if full else self._scales[selected]
-        floored = self._floored if full else self._floored[selected]
         with self.tracer.span("op.multiply"):
             self.tracer.count("analog.multiplies", selected.size)
-            peaks = np.max(np.abs(x), axis=1)
+            peaks = np.abs(x).max(axis=1)
             live = peaks >= 1e-300
             s_x = np.where(live, self.params.v_read / np.where(live, peaks, 1.0), 1.0)
             v_in = _quantize_rows(
                 x * s_x[:, None], self.dac_bits, self.quantization
             )
             v_in[~live] = 0.0
-            v_out = self.stack.multiply(v_in, members=selected)
+            v_out = self.stack._multiply(v_in, selected)
             v_out = _quantize_rows(v_out, self.adc_bits, self.quantization)
-            denominators = self.stack.nominal_denominators(selected)
-            currents = v_out * denominators
-            if (
-                self.off_state == "leak"
-                and self.compensate_leak
-                and floored.any()
-            ):
-                # Dummy-row correction; members with no floored cells
-                # get an exact-zero leak term, so applying it fleet-wide
-                # is bitwise what per-member gating computes.
-                leak = self.params.g_off * np.matmul(
-                    floored.transpose(0, 2, 1).astype(float),
-                    v_in[:, :, None],
-                )[:, :, 0]
-                currents = currents - leak
+            currents = v_out * self.stack._nominal_denominators(selected)
+            if self.off_state == "leak" and self.compensate_leak:
+                floored = take_members(self._floored, selected)
+                if floored.any():
+                    # Dummy-row correction; members with no floored
+                    # cells get an exact-zero leak term, so applying it
+                    # fleet-wide is bitwise what per-member gating
+                    # computes.
+                    leak = self.params.g_off * np.matmul(
+                        floored.transpose(0, 2, 1).astype(float),
+                        v_in[:, :, None],
+                    )[:, :, 0]
+                    currents = currents - leak
+            scales = take_members(self._scales, selected)
             out = currents / (scales[:, None] * s_x[:, None])
             out[~live] = 0.0
             return out
@@ -445,7 +431,6 @@ class AnalogOperatorStack:
         list are selected-length, in index order.
         """
         selected = self.stack._member_indices(members)
-        full = selected.size == self.n_members
         b = np.asarray(b, dtype=float)
         if b.shape == (self.n_out,):
             b = np.broadcast_to(b, (selected.size, self.n_out))
@@ -454,22 +439,22 @@ class AnalogOperatorStack:
                 f"expected ({selected.size}, {self.n_out}) targets, "
                 f"got {b.shape}"
             )
-        scales = self._scales if full else self._scales[selected]
         with self.tracer.span("op.solve"):
-            peaks = np.max(np.abs(b), axis=1)
+            peaks = np.abs(b).max(axis=1)
             live = peaks >= 1e-300
             s_b = np.where(live, self.params.v_read / np.where(live, peaks, 1.0), 1.0)
             v_out = _quantize_rows(
                 b * s_b[:, None], self.dac_bits, self.quantization
             )
             v_out[~live] = 0.0
-            v_in, errors = self.stack.try_solve(v_out, members=selected)
+            v_in, errors = self.stack._try_solve(v_out, selected)
             v_in = _quantize_rows(v_in, self.adc_bits, self.quantization)
             solved = sum(
                 1 for index in range(selected.size)
                 if errors[index] is None
             )
             self.tracer.count("analog.solves", solved)
+            scales = take_members(self._scales, selected)
             out = v_in * scales[:, None] / (
                 self.stack.g_sense * s_b[:, None]
             )

@@ -186,7 +186,6 @@ def plan_write_stack(
     params: DeviceParameters,
     *,
     tolerance: float = 0.0,
-    half_select_counts: np.ndarray | None = None,
 ) -> list[WriteReport]:
     """Per-member write costs for a ``(K, n_rows, n_cols)`` stack.
 
@@ -200,18 +199,9 @@ def plan_write_stack(
     ----------
     old, new:
         Conductance stacks of shape ``(K, n_rows, n_cols)``; ``old``
-        may be ``None`` for blank arrays.  Cell-write planning passes
-        ``(K, 1, c)`` row vectors, mirroring the serial path's
-        ``reshape(1, -1)``.
+        may be ``None`` for blank arrays.
     params, tolerance:
         As for :func:`plan_write`.
-    half_select_counts:
-        Per-member count of half-selected devices, shape ``(K,)``.
-        ``None`` uses the geometric ``(n_rows-1) + (n_cols-1)`` of the
-        member grid.  Differential cell writes must pass their own
-        counts: the serial path plans each member's *changed subset*
-        as a ``(1, c_k)`` write, so its half-select factor is
-        ``c_k - 1`` with ``c_k`` varying per member.
     """
     new = np.asarray(new, dtype=float)
     if new.ndim != 3:
@@ -243,24 +233,15 @@ def plan_write_stack(
     total_pulses = pulses_per_cell.reshape(k, -1).sum(axis=1)
     cells = np.count_nonzero(changed.reshape(k, -1), axis=1)
 
-    if half_select_counts is None:
-        n_rows, n_cols = new.shape[1], new.shape[2]
-        half_select_counts = np.full(k, (n_rows - 1) + (n_cols - 1))
-    else:
-        half_select_counts = np.asarray(half_select_counts)
-        if half_select_counts.shape != (k,):
-            raise ValueError(
-                f"half_select_counts must have shape ({k},), got "
-                f"{half_select_counts.shape}"
-            )
-
+    # Half-select disturbance as in plan_write: the other devices on the
+    # selected WL and BL of the member grid.
+    half_selected = (new.shape[1] - 1) + (new.shape[2] - 1)
+    energy_per_pulse = params.write_energy_per_pulse * (
+        1.0 + HALF_SELECT_ENERGY_FRACTION * half_selected
+    )
     reports = []
     for member in range(k):
         pulses = int(total_pulses[member])
-        energy_per_pulse = params.write_energy_per_pulse * (
-            1.0
-            + HALF_SELECT_ENERGY_FRACTION * int(half_select_counts[member])
-        )
         reports.append(
             WriteReport(
                 cells_written=int(cells[member]),

@@ -18,9 +18,10 @@ Correctness contract (gated by ``tests/property``):
   member ``k`` consumes exactly the variates its serial twin would,
   from its own generator, so cross-member batching never reorders any
   member's stream;
-- write costs are planned per member
-  (:func:`~repro.crossbar.programming.plan_write_stack`), including
-  the per-member half-select energy factors of differential writes;
+- differential writes plan each member's changed subset as one
+  ``(1, c_k)`` batch with :func:`~repro.crossbar.programming.
+  plan_write`, exactly as the serial write core does, so unchanged
+  cells cost nothing and the half-select factors match;
 - column-sum denominators use the canonical per-column reduction of
   :func:`~repro.crossbar.array.canonical_colsums`, so the stack's
   dirty-column cache refresh matches the serial cache bitwise.
@@ -31,9 +32,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import Backend, get_backend
-from repro.crossbar.array import run_write_verify
+from repro.crossbar.array import _NO_WRITE, run_write_verify
 from repro.crossbar.programming import (
     WriteReport,
+    plan_write,
     plan_write_stack,
 )
 from repro.devices.models import HP_TIO2, DeviceParameters
@@ -41,6 +43,18 @@ from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
 from repro.obs.tracer import NOOP, Tracer
 from repro.reliability.verify import WriteVerifyPolicy
+
+
+def take_members(tensor: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """``tensor[selected]`` for a sorted member selection.
+
+    A contiguous run (the whole fleet, or a lone straggler) is sliced
+    as a view instead of gathered into a copy; the view has the copy's
+    memory layout, so kernels over it give bitwise the same results.
+    """
+    if selected.size and selected[-1] - selected[0] == selected.size - 1:
+        return tensor[selected[0]:selected[-1] + 1]
+    return tensor[selected]
 
 
 class CrossbarStack:
@@ -183,9 +197,14 @@ class CrossbarStack:
         tracer.count("crossbar.verify_unverified", report.unverified_cells)
 
     def _validate_range(self, conductances: np.ndarray, member: int) -> None:
-        if conductances.size == 0:
+        # One min/max pass; NaN fails both comparisons and falls through
+        # to the checks that name the problem.
+        if conductances.size == 0 or (
+            conductances.min() >= 0.0
+            and conductances.max() <= self.params.g_on * (1 + 1e-12)
+        ):
             return
-        if not np.all(np.isfinite(conductances)):
+        if not np.isfinite(conductances).all():
             raise MappingError(
                 f"member {member}: conductance targets must be finite"
             )
@@ -293,7 +312,6 @@ class CrossbarStack:
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError("rows and cols must be matching 1-D arrays")
         selected = self._member_indices(members)
-        results: list[WriteReport | None] = [None] * self.n_members
         if conductances.ndim == 1:
             if conductances.shape != rows.shape:
                 raise ValueError("rows, cols, conductances must align")
@@ -311,71 +329,58 @@ class CrossbarStack:
                 f"({self.n_members}, {rows.size}) or "
                 f"({selected.size}, {rows.size}), got {conductances.shape}"
             )
-        if rows.size == 0:
-            for member in selected:
-                results[member] = WriteReport(0, 0, 0.0, 0.0)
-            return results
-        if rows.min() < 0 or rows.max() >= self.n_rows:
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
             raise IndexError("row index out of range")
-        if cols.min() < 0 or cols.max() >= self.n_cols:
+        if cols.size and (cols.min() < 0 or cols.max() >= self.n_cols):
             raise IndexError("column index out of range")
-
-        current = self._nominal[selected[:, None], rows[None, :], cols[None, :]]
-        if skip_unchanged:
-            changed = targets != current
-        else:
-            changed = np.ones_like(current, dtype=bool)
-        changed_counts = changed.sum(axis=1)
-
-        # Members whose whole write set was skipped get the serial
-        # path's zero report (not a physical event).
-        for pos, member in enumerate(selected):
-            if skip_unchanged and changed_counts[pos] == 0:
-                results[member] = WriteReport(0, 0, 0.0, 0.0)
-        active = (
-            np.flatnonzero(changed_counts > 0)
-            if skip_unchanged
-            else np.arange(selected.size)
+        return self._write_cells(
+            selected,
+            [(rows, cols, targets[pos]) for pos in range(selected.size)],
+            skip_unchanged=skip_unchanged,
         )
-        if active.size == 0:
-            return results
 
-        for pos in active:
-            self._validate_range(
-                targets[pos][changed[pos]], int(selected[pos])
+    def _write_cells(
+        self,
+        selected: np.ndarray,
+        writes: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        *,
+        skip_unchanged: bool,
+    ) -> list[WriteReport | None]:
+        """The fleet cell-write core: one ``(rows, cols, targets)`` per member.
+
+        ``writes`` is aligned with ``selected``; each member's indices
+        must be in range (the callers check or build them so).  Each
+        member diffs its own cells, and every member's changed targets
+        are range-checked before any cell changes.  Each member's
+        changed subset is then planned as one ``(1, c_k)`` batch, drawn
+        from that member's generator in cell order, verified and
+        accounted — the serial array's write core, member by member.
+        """
+        results: list[WriteReport | None] = [None] * self.n_members
+        changes = []
+        for member, (rows, cols, targets) in zip(selected.tolist(), writes):
+            results[member] = _NO_WRITE
+            current = self._nominal[member, rows, cols]
+            if skip_unchanged:
+                changed = targets != current
+                if not changed.all():
+                    rows, cols = rows[changed], cols[changed]
+                    targets, current = targets[changed], current[changed]
+            if rows.size:
+                self._validate_range(targets, member)
+                changes.append((member, rows, cols, current, targets))
+        for member, rows, cols, current, targets in changes:
+            report = plan_write(
+                current.reshape(1, -1), targets.reshape(1, -1), self.params
             )
-
-        # Vectorized per-member write plan.  Unchanged cells keep their
-        # old value (zero swing), which plans exactly like the serial
-        # path's changed-subset write; the half-select factor is the
-        # per-member changed count (the serial (1, c_k) reshape).
-        planned_new = np.where(changed[active], targets[active], current[active])
-        reports = plan_write_stack(
-            current[active][:, None, :],
-            planned_new[:, None, :],
-            self.params,
-            half_select_counts=changed_counts[active] - 1,
-        )
-
-        touched_cols: list[np.ndarray] = []
-        for plan_pos, pos in enumerate(active):
-            member = int(selected[pos])
-            mask = changed[pos]
-            m_rows, m_cols = rows[mask], cols[mask]
-            m_targets = targets[pos][mask]
-            self._nominal[member, m_rows, m_cols] = m_targets
-            perturbed = self.variation.perturb(
-                m_targets.reshape(1, -1), self.rngs[member]
+            self._nominal[member, rows, cols] = targets
+            self._actual[member, rows, cols] = self.variation.perturb(
+                targets.reshape(1, -1), self.rngs[member]
             ).ravel()
-            self._actual[member, m_rows, m_cols] = perturbed
-            report = self._verify_member(
-                member, m_rows, m_cols, reports[plan_pos]
-            )
-            touched_cols.append(m_cols)
+            report = self._verify_member(member, rows, cols, report)
             self._log_write(member, report)
+            self._mark_dirty(cols)
             results[member] = report
-        if touched_cols:
-            self._mark_dirty(np.concatenate(touched_cols))
         return results
 
     def redraw(self, members=None) -> list[WriteReport | None]:
@@ -431,15 +436,17 @@ class CrossbarStack:
                 f"expected input of shape ({selected.size}, "
                 f"{self.n_rows},), got {v_in.shape}"
             )
-        stack = (
-            self._actual
-            if selected.size == self.n_members
-            else self._actual[selected]
+        return self._multiply(v_in, selected)
+
+    def _multiply(self, v_in: np.ndarray, selected: np.ndarray) -> np.ndarray:
+        """:meth:`multiply` over a normalized selection, compact inputs."""
+        currents = self.backend.matvec_t(
+            take_members(self._actual, selected), v_in
         )
-        currents = self.backend.matvec_t(stack, v_in)
         self._refresh_colsums()
-        denominators = self.g_sense + self._colsum_actual[selected]
-        return currents / denominators
+        return currents / (
+            self.g_sense + take_members(self._colsum_actual, selected)
+        )
 
     def nominal_denominators(self, members=None) -> np.ndarray:
         """``g_s + column sums`` of programmed conductances, ``(K, n_cols)``.
@@ -447,11 +454,11 @@ class CrossbarStack:
         With ``members`` set, only the selected members' rows, in
         index order.
         """
+        return self._nominal_denominators(self._member_indices(members))
+
+    def _nominal_denominators(self, selected: np.ndarray) -> np.ndarray:
         self._refresh_colsums()
-        if members is None:
-            return self.g_sense + self._colsum_nominal
-        selected = self._member_indices(members)
-        return self.g_sense + self._colsum_nominal[selected]
+        return self.g_sense + take_members(self._colsum_nominal, selected)
 
     def try_solve(
         self, v_out: np.ndarray, *, members=None
@@ -467,11 +474,6 @@ class CrossbarStack:
         With ``members`` set, ``v_out`` is ``(len(selected), n)`` and
         both returns are selected-length, in index order.
         """
-        if self.n_rows != self.n_cols:
-            raise CrossbarSolveError(
-                f"solving requires square arrays, got "
-                f"{self.n_rows}x{self.n_cols}"
-            )
         selected = self._member_indices(members)
         v_out = np.asarray(v_out, dtype=float)
         if v_out.shape == (self.n_cols,):
@@ -483,15 +485,23 @@ class CrossbarStack:
                 f"expected target of shape ({selected.size}, "
                 f"{self.n_cols},), got {v_out.shape}"
             )
-        stack = (
-            self._actual
-            if selected.size == self.n_members
-            else self._actual[selected]
-        )
+        return self._try_solve(v_out, selected)
+
+    def _try_solve(
+        self, v_out: np.ndarray, selected: np.ndarray
+    ) -> tuple[np.ndarray, list[CrossbarSolveError | None]]:
+        """:meth:`try_solve` over a normalized selection, compact targets."""
+        if self.n_rows != self.n_cols:
+            raise CrossbarSolveError(
+                f"solving requires square arrays, got "
+                f"{self.n_rows}x{self.n_cols}"
+            )
         rhs = self.g_sense * v_out
         errors: list[CrossbarSolveError | None] = [None] * selected.size
         try:
-            solutions = self.backend.solve_t(stack, rhs)
+            solutions = self.backend.solve_t(
+                take_members(self._actual, selected), rhs
+            )
         except np.linalg.LinAlgError:
             # Per-member fallback: a 2-D solve is bitwise what the
             # batched gufunc computes for that slice, so isolation
@@ -507,7 +517,7 @@ class CrossbarStack:
                         "perturbed conductance matrix is singular"
                     )
                     errors[index].__cause__ = exc
-        finite = np.all(np.isfinite(solutions), axis=1)
+        finite = np.isfinite(solutions).all(axis=1)
         for index in range(selected.size):
             if errors[index] is None and not finite[index]:
                 errors[index] = CrossbarSolveError(

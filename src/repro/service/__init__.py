@@ -29,7 +29,6 @@ from repro.service.jobs import (
     read_jobs_jsonl,
     structure_seed,
     synthesize_jobs,
-    synthesize_resolve_stream,
     write_jobs_jsonl,
 )
 from repro.service.pool import CrossbarPool, MemberState, PoolMember
@@ -99,6 +98,5 @@ __all__ = [
     "structure_seed",
     "summarize",
     "synthesize_jobs",
-    "synthesize_resolve_stream",
     "write_jobs_jsonl",
 ]

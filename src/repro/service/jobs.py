@@ -293,51 +293,6 @@ def build_resolve_problem(
     return LinearProgram(c=c, A=base_problem.A, b=b, name=spec.job_id)
 
 
-def synthesize_resolve_stream(
-    steps: int,
-    *,
-    constraints: int = 24,
-    group: int = 0,
-    perturb: float = 0.02,
-    tenant: str = DEFAULT_TENANT,
-    prefix: str = "horizon",
-    chain: bool = True,
-) -> list:
-    """One cold base job plus ``steps`` rolling-horizon re-solves.
-
-    Models the paper's streaming regime: the network/recipe matrix A
-    is fixed, demands drift a few percent per scheduling period.  With
-    ``chain=True`` (default) each step perturbs the *previous* step's
-    parameters (a random walk, like a real horizon); otherwise every
-    step drifts from the base job directly.  The first spec is the
-    :class:`JobSpec` that pays the one cold programming; everything
-    after re-solves warm.
-    """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    base = JobSpec(
-        job_id=f"{prefix}-base",
-        constraints=constraints,
-        group=group,
-        tenant=tenant,
-    )
-    specs: list = [base]
-    parent = base.job_id
-    for index in range(steps):
-        spec = ResolveSpec(
-            job_id=f"{prefix}-r{index:04d}",
-            base_job_id=parent,
-            constraints=constraints,
-            group=group,
-            perturb=perturb,
-            tenant=tenant,
-        )
-        specs.append(spec)
-        if chain:
-            parent = spec.job_id
-    return specs
-
-
 def synthesize_jobs(
     count: int,
     *,

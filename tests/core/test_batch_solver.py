@@ -138,6 +138,33 @@ class TestBatchedParity:
             trace=True,
         )
 
+    def test_remap_heavy(self):
+        # No scale headroom: the diagonals outgrow the window again and
+        # again, so members remap mid-solve through the sparse
+        # per-member reprogram, in both off-state modes.
+        from repro.crossbar.opstack import AnalogOperatorStack
+
+        reprogram = AnalogOperatorStack._reprogram
+        remapped = []
+
+        def counting(self, members):
+            remapped.append(members.size)
+            return reprogram(self, members)
+
+        for off_state in ("zero", "leak"):
+            settings = CrossbarSolverSettings(
+                variation=UniformVariation(0.05),
+                scale_headroom=1.0,
+                off_state=off_state,
+            )
+            with mock.patch.object(
+                AnalogOperatorStack, "_reprogram", counting
+            ):
+                assert_parity(lps(4, 8, seed=700), settings)
+        # At most four construction-time programs (a fleet per
+        # structural group and mode); the rest are mid-solve remaps.
+        assert len(remapped) >= 4 + 10
+
 
 class TestRewindEscalation:
     def test_doctored_failures_reproduce_serial_ladder(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar import AnalogMatrixOperator, CrossbarArray
+from repro.crossbar.opstack import AnalogOperatorStack
 from repro.devices import HP_TIO2
 from repro.exceptions import MappingError
 
@@ -96,3 +97,71 @@ class TestOperatorWriters:
             operator.update_coefficients(
                 np.array([0]), np.array([0]), np.array([-1.0])
             )
+
+
+class TestIndexValidation:
+    """Serial and stacked operators reject the same bad coordinates.
+
+    A negative index is a caller bug, not a numpy wrap-around onto the
+    last row or column; neither operator may change a coefficient or a
+    cell before raising.
+    """
+
+    BAD = [
+        ([-1], [-1], "row index out of range"),
+        ([-1], [0], "row index out of range"),
+        ([4], [0], "row index out of range"),
+        ([0], [-1], "column index out of range"),
+        ([0], [4], "column index out of range"),
+        ([0, 1, 2], [1, 4, 0], "column index out of range"),
+    ]
+
+    @staticmethod
+    def operators(row_scaling):
+        matrix = np.eye(4) + 0.5
+        serial = AnalogMatrixOperator(
+            matrix, rng=np.random.default_rng(1), row_scaling=row_scaling
+        )
+        stack = AnalogOperatorStack(
+            np.stack([matrix, matrix]),
+            rngs=[np.random.default_rng(1), np.random.default_rng(2)],
+        )
+        return serial, stack
+
+    @pytest.mark.parametrize("rows,cols,message", BAD)
+    @pytest.mark.parametrize("row_scaling", [False, True])
+    def test_serial_operator(self, rows, cols, message, row_scaling):
+        serial, _ = self.operators(row_scaling)
+        coefficients = serial.coefficients
+        nominal = serial.array.nominal_conductances
+        with pytest.raises(IndexError, match=message):
+            serial.update_coefficients(
+                np.array(rows), np.array(cols), np.full(len(rows), 3.0)
+            )
+        assert np.array_equal(serial.coefficients, coefficients)
+        assert np.array_equal(serial.array.nominal_conductances, nominal)
+
+    @pytest.mark.parametrize("rows,cols,message", BAD)
+    def test_stacked_operator(self, rows, cols, message):
+        _, stack = self.operators(False)
+        coefficients = stack.coefficients
+        nominal = stack.stack.nominal_stack
+        with pytest.raises(IndexError, match=message):
+            stack.update_coefficients(
+                np.array(rows), np.array(cols), np.full(len(rows), 3.0)
+            )
+        assert np.array_equal(stack.coefficients, coefficients)
+        assert np.array_equal(stack.stack.nominal_stack, nominal)
+
+    def test_in_range_updates_agree(self):
+        serial, stack = self.operators(False)
+        rows, cols = np.array([3, 0]), np.array([3, 2])
+        serial.update_coefficients(rows, cols, np.array([2.0, 0.25]))
+        stack.update_coefficients(
+            rows, cols, np.array([2.0, 0.25]), members=[0]
+        )
+        assert np.array_equal(serial.coefficients, stack.coefficients[0])
+        assert (
+            serial.array.nominal_conductances.tobytes()
+            == stack.stack.nominal_stack[0].tobytes()
+        )
